@@ -30,7 +30,10 @@
 //!
 //! [`planner::ReplicationPolicy`] glues the stages together and returns the
 //! final [`mmrepl_model::Placement`] plus a [`planner::PlanReport`] of what
-//! each stage did.
+//! each stage did. Stages 2 and 3 touch one site's state only, so
+//! [`shard::restore_sites`] runs them as one shard per site on the
+//! [`pool`], for the planner and for `mmrepl-online`'s delta replanner
+//! alike.
 //!
 //! ## Example
 //!
@@ -59,6 +62,7 @@ pub mod partition;
 pub mod planner;
 pub mod pool;
 pub mod select;
+pub mod shard;
 pub mod state;
 pub mod storage;
 pub mod streams;
@@ -85,6 +89,7 @@ pub use partition::{
 pub use planner::{PlanOutcome, PlanReport, PlannerConfig, ReplicationPolicy};
 pub use pool::{effective_threads, parallel_map};
 pub use select::{select_ancestors, select_ancestors_with_demand, AncestorPolicy, Selection};
+pub use shard::{restore_sites, SiteShard};
 pub use state::SiteWork;
 pub use storage::{restore_storage, restore_storage_with, DeallocCriterion, StorageReport};
 pub use streams::{OptionalCost, SiteParams, Streams};

@@ -1,13 +1,14 @@
 //! The end-to-end replication policy: partition → restore storage →
 //! restore local capacity → off-load the repository.
 
-use crate::capacity::{restore_capacity, CapacityReport};
+use crate::capacity::CapacityReport;
 use crate::negotiate::{run_negotiation, NegotiateConfig, NegotiateReport};
 use crate::offload::{run_offload, OffloadConfig, OffloadOutcome, OffloadReport};
 use crate::partition::partition_all;
 use crate::select::{select_ancestors, AncestorPolicy, Selection};
+use crate::shard::restore_sites;
 use crate::state::SiteWork;
-use crate::storage::{restore_storage, StorageReport};
+use crate::storage::StorageReport;
 use mmrepl_model::{
     ConstraintReport, CostParams, IdVec, PageId, PagePartition, Placement, ServingChannel, SiteId,
     System,
@@ -204,62 +205,20 @@ impl ReplicationPolicy {
             owned_initial.as_ref().expect("just assigned")
         };
 
-        let per_site = |s: mmrepl_model::SiteId| {
-            // One site = one shard. The span lands in the stage table; the
-            // wall time feeds the shard-imbalance counter below.
-            let shard_start = std::time::Instant::now();
-            let _shard = mmrepl_obs::span("plan.restore.shard");
-            let mut w = {
-                // Adopting the partition into dense per-site state is the
-                // tail of stage 1, so it counts toward `plan.partition`.
-                let _s = mmrepl_obs::span("plan.partition");
-                match &selection {
-                    Some(sel) => SiteWork::with_params(
-                        system,
-                        s,
-                        initial,
-                        self.config.cost,
-                        self.config.include_update_load,
-                        sel.params[s],
-                    ),
-                    None => SiteWork::with_update_accounting(
-                        system,
-                        s,
-                        initial,
-                        self.config.cost,
-                        self.config.include_update_load,
-                    ),
-                }
-            };
-            #[cfg(feature = "audit")]
-            crate::audit::assert_consistent(&w, crate::audit::AuditStage::Partition);
-            let st = {
-                let _s = mmrepl_obs::span("plan.storage_restore");
-                restore_storage(&mut w)
-            };
-            #[cfg(feature = "audit")]
-            crate::audit::assert_consistent(&w, crate::audit::AuditStage::StorageRestore);
-            let cap = {
-                let _s = mmrepl_obs::span("plan.capacity_restore");
-                restore_capacity(&mut w)
-            };
-            #[cfg(feature = "audit")]
-            crate::audit::assert_consistent(&w, crate::audit::AuditStage::CapacityRestore);
-            (w, st, cap, shard_start.elapsed().as_nanos() as u64)
-        };
-
-        let results: Vec<(SiteWork<'_>, StorageReport, CapacityReport, u64)> =
-            crate::pool::parallel_map(site_ids.len(), threads, |i| per_site(site_ids[i]));
-        let mut works = Vec::with_capacity(results.len());
-        let mut storage = Vec::with_capacity(results.len());
-        let mut capacity = Vec::with_capacity(results.len());
+        // One shard per site (`crate::shard`); its wall time feeds the
+        // shard-imbalance counter below.
+        let params = selection.as_ref().map(|sel| &sel.params);
+        let shards = restore_sites(system, initial, &site_ids, params, &self.config, threads);
+        let mut works = Vec::with_capacity(shards.len());
+        let mut storage = Vec::with_capacity(shards.len());
+        let mut capacity = Vec::with_capacity(shards.len());
         let (mut shard_max_ns, mut shard_min_ns) = (0u64, u64::MAX);
-        for (w, st, cap, ns) in results {
-            shard_max_ns = shard_max_ns.max(ns);
-            shard_min_ns = shard_min_ns.min(ns);
-            works.push(w);
-            storage.push(st);
-            capacity.push(cap);
+        for shard in shards {
+            shard_max_ns = shard_max_ns.max(shard.wall_ns);
+            shard_min_ns = shard_min_ns.min(shard.wall_ns);
+            works.push(shard.work);
+            storage.push(shard.storage);
+            capacity.push(shard.capacity);
         }
 
         // Stage 3.5 (tree systems, opt-in): measured-demand re-selection.
@@ -287,11 +246,11 @@ impl ReplicationPolicy {
                     .filter(|&i| resel.serving[site_ids[i]] != sel.serving[site_ids[i]])
                     .collect();
                 if !changed.is_empty() {
+                    let sites: Vec<SiteId> = changed.iter().map(|&i| site_ids[i]).collect();
                     let mut repart = initial.clone();
                     {
                         let _s = mmrepl_obs::span("plan.partition");
-                        for &i in &changed {
-                            let s = site_ids[i];
+                        for &s in &sites {
                             for &p in system.pages_of(s) {
                                 *repart.partition_mut(p) =
                                     crate::partition::partition_page_ordered_with(
@@ -303,42 +262,18 @@ impl ReplicationPolicy {
                             }
                         }
                     }
-                    for &i in &changed {
-                        let s = site_ids[i];
-                        let mut w = {
-                            let _s = mmrepl_obs::span("plan.partition");
-                            SiteWork::with_params(
-                                system,
-                                s,
-                                &repart,
-                                self.config.cost,
-                                self.config.include_update_load,
-                                resel.params[s],
-                            )
-                        };
-                        #[cfg(feature = "audit")]
-                        crate::audit::assert_consistent(&w, crate::audit::AuditStage::Partition);
-                        let st = {
-                            let _s = mmrepl_obs::span("plan.storage_restore");
-                            restore_storage(&mut w)
-                        };
-                        #[cfg(feature = "audit")]
-                        crate::audit::assert_consistent(
-                            &w,
-                            crate::audit::AuditStage::StorageRestore,
-                        );
-                        let cap = {
-                            let _s = mmrepl_obs::span("plan.capacity_restore");
-                            restore_capacity(&mut w)
-                        };
-                        #[cfg(feature = "audit")]
-                        crate::audit::assert_consistent(
-                            &w,
-                            crate::audit::AuditStage::CapacityRestore,
-                        );
-                        works[i] = w;
-                        storage[i] = st;
-                        capacity[i] = cap;
+                    let shards = restore_sites(
+                        system,
+                        &repart,
+                        &sites,
+                        Some(&resel.params),
+                        &self.config,
+                        threads,
+                    );
+                    for (&i, shard) in changed.iter().zip(shards) {
+                        works[i] = shard.work;
+                        storage[i] = shard.storage;
+                        capacity[i] = shard.capacity;
                     }
                 }
                 reselections = changed.len();

@@ -128,6 +128,16 @@ impl Pool {
     /// decrementing `pending`, and the caller does not return before
     /// `pending` hits zero.
     fn scoped(&'static self, extra: usize, work: &(dyn Fn() + Sync)) {
+        // SAFETY: only the lifetime is erased; the pointee type is
+        // unchanged. The erased borrow is reachable only through `ticket`,
+        // whose `extra` queued copies are each popped by exactly one
+        // worker, which calls `task` and only then decrements `pending`.
+        // This function neither returns nor resumes a panic until
+        // `pending` is zero (the caller's own share runs under
+        // `catch_unwind`, and no holder of the `pending` lock can panic,
+        // so the wait cannot fail), so every call through `task` ends
+        // while `work` is still borrowed. A worker may drop its `Arc<Ticket>` after
+        // the decrement, but never calls `task` through it again.
         let task: &'static (dyn Fn() + Sync) =
             unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(work) };
         let ticket = Arc::new(Ticket {

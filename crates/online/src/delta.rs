@@ -11,10 +11,14 @@
 //! 2. **sites are independent until the off-loading stage**, so only the
 //!    sites whose rates actually drifted ("dirty" sites) need their
 //!    storage/capacity restorations re-run — the dominant cost at scale
-//!    (`restore_storage` is ~90 % of a paper-scale plan). Clean sites
-//!    keep their live rows, and the repository negotiation runs over the
-//!    dirty subset against the capacity left after the clean sites'
-//!    (unchanged) repository load.
+//!    (`restore_storage` is ~90 % of a paper-scale plan). They re-run
+//!    through the cold planner's own per-site shard
+//!    ([`mmrepl_core::restore_sites`]), spread over the pool workers,
+//!    so a traced replan shows the `plan.*` stage spans inside
+//!    `online.replan`. Clean sites keep their live rows, and the
+//!    repository negotiation runs serially over the dirty subset against
+//!    the capacity left after the clean sites' (unchanged) repository
+//!    load.
 //!
 //! The resulting *target* rows are then **diffed against the live plan**
 //! and applied under a *churn budget*: switching a page's row is free
@@ -25,11 +29,10 @@
 //! runs out, and the rest are deferred to a later replan. With an
 //! unlimited budget and every site dirty, the applied placement is
 //! **bit-identical** to a cold plan on the same estimated rates — pinned
-//! by a property test.
+//! by a property test. The shards come back in site order, so the
+//! outcome is also the same at any thread count.
 
-use mmrepl_core::{
-    partition_all, restore_capacity, restore_storage, run_offload, ReplicationPolicy, SiteWork,
-};
+use mmrepl_core::{partition_all, restore_sites, run_offload, ReplicationPolicy};
 use mmrepl_model::{
     Bytes, CostModel, ObjectId, PageId, PagePartition, Placement, SiteId, StoredSet, System,
 };
@@ -158,8 +161,20 @@ impl DeltaPlanner {
 
     /// Replans the `dirty` sites against `est` (the base system carrying
     /// the estimated rates), then applies the diff to the live placement
-    /// under `budget`. Clean sites are untouched.
+    /// under `budget`. Clean sites are untouched. The dirty sites' shards
+    /// spread over one pool worker per core, as in a cold plan; the
+    /// outcome is the same at any thread count.
     pub fn replan(&mut self, est: &System, dirty: &[SiteId], budget: ChurnBudget) -> DeltaOutcome {
+        self.replan_with_threads(est, dirty, budget, 0)
+    }
+
+    fn replan_with_threads(
+        &mut self,
+        est: &System,
+        dirty: &[SiteId],
+        budget: ChurnBudget,
+        threads: usize,
+    ) -> DeltaOutcome {
         let _span = mmrepl_obs::span("online.replan");
         let mut dirty: Vec<SiteId> = dirty.to_vec();
         dirty.sort_unstable();
@@ -175,7 +190,7 @@ impl DeltaPlanner {
             };
         }
 
-        let target = self.target_rows(est, &dirty);
+        let target = self.target_rows(est, &dirty, threads);
 
         // Diff the target against the live plan, page by page.
         let cfg = *self.policy.config();
@@ -280,27 +295,20 @@ impl DeltaPlanner {
     }
 
     /// Computes the target rows for every page of the dirty sites: the
-    /// restorations re-run per dirty site from the cached partition, then
-    /// the off-loading negotiation over the dirty subset against the
-    /// repository capacity net of the clean sites' unchanged load.
-    fn target_rows(&self, est: &System, dirty: &[SiteId]) -> Vec<Option<PagePartition>> {
+    /// restoration shards re-run per dirty site from the cached partition
+    /// on up to `threads` pool workers, then the off-loading negotiation
+    /// runs over the dirty subset against the repository capacity net of
+    /// the clean sites' unchanged load.
+    fn target_rows(
+        &self,
+        est: &System,
+        dirty: &[SiteId],
+        threads: usize,
+    ) -> Vec<Option<PagePartition>> {
         let cfg = *self.policy.config();
-        let mut works: Vec<SiteWork<'_>> = dirty
-            .iter()
-            .map(|&s| {
-                let mut w = SiteWork::with_update_accounting(
-                    est,
-                    s,
-                    &self.partition,
-                    cfg.cost,
-                    cfg.include_update_load,
-                );
-                restore_storage(&mut w);
-                restore_capacity(&mut w);
-                #[cfg(feature = "audit")]
-                mmrepl_core::assert_consistent(&w, mmrepl_core::AuditStage::DeltaReplan);
-                w
-            })
+        let mut works: Vec<_> = restore_sites(est, &self.partition, dirty, None, &cfg, threads)
+            .into_iter()
+            .map(|shard| shard.work)
             .collect();
 
         let clean_repo_load: f64 = est
@@ -381,4 +389,41 @@ fn fetch_bytes(system: &System, page: PageId, row: &PagePartition, resident: &St
         .iter()
         .map(|&(_, b)| b.0)
         .sum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmrepl_workload::{generate_system, DriftModel, WorkloadParams};
+
+    #[test]
+    fn dirty_subset_replan_is_thread_count_invariant() {
+        let params = WorkloadParams {
+            n_sites: 6,
+            ..WorkloadParams::small()
+        };
+        let base = generate_system(&params, 41)
+            .unwrap()
+            .with_storage_fraction(0.6)
+            .with_processing_fraction(f64::INFINITY);
+        let est = DriftModel::new(0.5).apply(&base, 41);
+        let dirty: Vec<SiteId> = base.sites().ids().filter(|s| s.index() % 2 == 1).collect();
+        let fresh = DeltaPlanner::new(&base, ReplicationPolicy::new());
+        // Half the churn the unlimited replan needs, so the budgeted
+        // apply defers pages and its priority order is exercised too.
+        let full = fresh
+            .clone()
+            .replan_with_threads(&est, &dirty, ChurnBudget::unlimited(), 1);
+        let budget = ChurnBudget::bytes(full.report.bytes_migrated / 2);
+        let mut seq = fresh.clone();
+        let expect = seq.replan_with_threads(&est, &dirty, budget, 1);
+        assert!(expect.report.pages_applied > 0 && expect.report.pages_deferred > 0);
+        assert!(expect.migrations.len() >= 2, "{:?}", expect.report);
+        for threads in [2, 3] {
+            let mut par = fresh.clone();
+            let got = par.replan_with_threads(&est, &dirty, budget, threads);
+            assert_eq!(got, expect, "threads = {threads}");
+            assert_eq!(par.live(), seq.live(), "threads = {threads}");
+        }
+    }
 }

@@ -15,8 +15,9 @@
 //!   only when estimated and planned-for rates diverge past a threshold;
 //! * [`delta`] — churn-bounded incremental replanning: re-run the
 //!   restorations for the *dirty sites only* (warm-started from the cached
-//!   frequency-independent `PARTITION`), diff against the live plan, and
-//!   apply the best ΔD-per-byte switches under a migration-byte budget;
+//!   frequency-independent `PARTITION`, in parallel through the cold
+//!   planner's per-site shard), diff against the live plan, and apply the
+//!   best ΔD-per-byte switches under a migration-byte budget;
 //! * [`migrate`] — bandwidth-charged migration replay: new replicas
 //!   travel a φ share of the repository link before they can serve, and
 //!   foreground remote fetches are derated to `1 − φ` meanwhile.

@@ -4,12 +4,12 @@
 //! relevant, protocol or work counters) against the paper's choice.
 
 use crate::experiment::ExperimentConfig;
-use crate::par::parallel_map;
 use crate::replay::replay_all;
 use mmrepl_baselines::StaticRouter;
 use mmrepl_core::{
-    partition_all_ordered, restore_capacity, restore_storage_with, run_offload, AssignmentRule,
-    DeallocCriterion, OffloadConfig, PartitionOrder, PlannerConfig, ReplicationPolicy, SiteWork,
+    parallel_map, partition_all_ordered, restore_capacity, restore_storage_with, run_offload,
+    AssignmentRule, DeallocCriterion, OffloadConfig, PartitionOrder, PlannerConfig,
+    ReplicationPolicy, SiteWork,
 };
 use mmrepl_model::{CostParams, Placement, System};
 use mmrepl_workload::{generate_trace, SiteTrace, TraceConfig};

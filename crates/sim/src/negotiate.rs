@@ -21,8 +21,7 @@
 //! and resilience counters (retries, timeouts, degraded sites).
 
 use crate::experiment::ExperimentConfig;
-use crate::par::parallel_map;
-use mmrepl_core::{NegotiateConfig, PlannerConfig, ReplicationPolicy, StrategyKind};
+use mmrepl_core::{parallel_map, NegotiateConfig, PlannerConfig, ReplicationPolicy, StrategyKind};
 use mmrepl_netsim::FaultConfig;
 use serde::{Deserialize, Serialize};
 
