@@ -108,10 +108,9 @@ pub struct ScaleTimings {
     /// pays per localized drift reaction (the cold plan is `plan_s`).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub delta_replan_s: Option<f64>,
-    /// Full single-threaded `plan` with stage 4 run as the asynchronous
-    /// proposal/counter-proposal negotiation over a reliable bus (the
-    /// synchronous reference's cost is inside `plan_s`; the delta is the
-    /// protocol machinery — envelopes, dedup state, per-round caches).
+    /// Full single-threaded `plan`, the same configuration as `plan_s`
+    /// (stage 4 always runs the proposal/counter-proposal negotiation
+    /// over a reliable bus). Kept so the regression gate still finds it.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub negotiate_s: Option<f64>,
     /// Snapshot routing throughput in millions of routed requests per

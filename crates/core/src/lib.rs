@@ -20,13 +20,15 @@
 //!    download with the least performance loss *per unit of workload
 //!    freed* back to the repository, deallocating objects that lose their
 //!    last local mark;
-//! 4. [`offload`] — restore Eq. 9 with the distributed
+//! 4. [`offload`] and [`negotiate`] — restore Eq. 9 with the distributed
 //!    `OFF_LOADING_REPOSITORY` negotiation: sites report
 //!    `(Space(S_i), P(S_i), P(S_i,R))` status messages over a simulated
 //!    control plane, the repository pushes excess workload back
 //!    proportionally to headroom (L1 = sites with space and cpu, L2 = cpu
 //!    only), sites absorb what they can and acknowledge, over as many
-//!    rounds as needed.
+//!    rounds as needed. [`offload`] holds the round arithmetic and the
+//!    site-side absorption; [`negotiate::run_negotiation`] is the one
+//!    message protocol that carries them.
 //!
 //! [`planner::ReplicationPolicy`] glues the stages together and returns the
 //! final [`mmrepl_model::Placement`] plus a [`planner::PlanReport`] of what
@@ -79,8 +81,8 @@ pub use negotiate::{
     NegotiateReport, Negotiator, RoundCtx, StrategyKind,
 };
 pub use offload::{
-    absorb_workload, paper_round_plan, run_offload, Assignment, AssignmentRule, OffloadConfig,
-    OffloadError, OffloadOutcome, OffloadReport, RoundPlan,
+    absorb_workload, paper_round_plan, Assignment, AssignmentRule, OffloadConfig, OffloadReport,
+    RoundPlan,
 };
 pub use partition::{
     optimal_partition, partition_all, partition_all_ordered, partition_all_with, partition_page,

@@ -1,10 +1,12 @@
-//! Asynchronous off-loading negotiation over a *faulty* control plane.
+//! Stage 4 of the planner: `OFF_LOADING_REPOSITORY` as an asynchronous
+//! message protocol over a control plane that may be faulty.
 //!
-//! [`crate::offload::run_offload`] drives Section 4.2's rounds over a
-//! perfectly reliable bus: every message arrives, exactly once, in
-//! order. This module re-runs the same negotiation as a typed
-//! proposal/counter-proposal protocol that survives the bus's seeded
-//! fault injection ([`mmrepl_netsim::FaultConfig`]):
+//! The repository and the sites exchange typed proposals and
+//! counter-proposals over the netsim message bus, which can inject
+//! seeded faults ([`mmrepl_netsim::FaultConfig`]). The planner, the
+//! online delta replanner and the ablations all run stage 4 through
+//! [`run_negotiation`]; its default configuration is a reliable bus with
+//! the paper's [`GreedyProportional`] strategy.
 //!
 //! * the repository sends [`NegotiateMsg::Offer`]s (round-stamped
 //!   workload proposals) and sites answer with
@@ -33,18 +35,19 @@
 //! the repository load from the authoritative site states.
 //!
 //! Strategies are pluggable via [`Negotiator`]:
-//! [`GreedyProportional`] reuses [`crate::offload::paper_round_plan`]
-//! verbatim, so under a reliable bus the negotiation is **bit-identical**
-//! to the synchronous `OFF_LOADING_REPOSITORY` (property-tested);
+//! [`GreedyProportional`] runs [`crate::offload::paper_round_plan`], the
+//! paper's proportional rounds; on a reliable bus its placement equals
+//! the sequential stage 4 of the naive reference planner
+//! (`mmrepl_sim::differential`, property-tested);
 //! [`DeadlineBounded`] over-asks to converge within a round deadline;
 //! [`Auction`] lets the highest-headroom bidders take whole chunks.
 
 use crate::offload::{
-    absorb_workload, classify, paper_round_plan, site_index, status_of, AssignmentRule,
-    OffloadConfig, OffloadReport, RoundPlan, StatusReport, EPS,
+    absorb_workload, classify, paper_round_plan, status_of, AssignmentRule, OffloadConfig,
+    OffloadReport, RoundPlan, StatusReport, EPS,
 };
 use crate::state::SiteWork;
-use mmrepl_model::Secs;
+use mmrepl_model::{Secs, SiteId};
 use mmrepl_netsim::{BusStats, Endpoint, Envelope, FaultConfig, MessageBus, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -94,10 +97,7 @@ pub enum NegotiateMsg {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StrategyKind {
     /// The paper's proportional-to-headroom rounds
-    /// ([`GreedyProportional`]); bit-identical to [`run_offload`] on a
-    /// reliable bus.
-    ///
-    /// [`run_offload`]: crate::offload::run_offload
+    /// ([`GreedyProportional`]); the planner's default.
     #[default]
     GreedyProportional,
     /// [`DeadlineBounded`]: over-ask progressively so the negotiation
@@ -156,9 +156,8 @@ pub struct RoundCtx<'a> {
 }
 
 /// The paper's strategy: delegate to
-/// [`crate::offload::paper_round_plan`], the exact arithmetic
-/// `run_offload` executes — same classification, same splits, same
-/// floating-point operation order.
+/// [`crate::offload::paper_round_plan`] — the L1/L2/L3 classification
+/// and the proportional split of Section 4.2.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GreedyProportional;
 
@@ -368,8 +367,8 @@ pub struct NegotiateReport {
 }
 
 impl NegotiateReport {
-    /// The subset of fields shared with the synchronous protocol, for
-    /// report slots that expect an [`OffloadReport`].
+    /// The protocol-independent summary the planner reports per serving
+    /// node ([`crate::PlanReport::offload`]).
     pub fn as_offload(&self) -> OffloadReport {
         OffloadReport {
             rounds: self.rounds,
@@ -774,6 +773,14 @@ pub fn run_negotiation_with(
     }
 }
 
+/// The index of `site` in `works`.
+fn site_index(works: &[SiteWork<'_>], site: SiteId) -> usize {
+    works
+        .iter()
+        .position(|w| w.site() == site)
+        .expect("message for unknown site")
+}
+
 /// The retry deadline grows exponentially but stays bounded (the
 /// exponent caps at 16 doublings — far beyond any real retry budget —
 /// so a misconfigured backoff cannot overflow to infinity).
@@ -964,7 +971,6 @@ fn handle(
 mod tests {
     use super::*;
     use crate::capacity::restore_capacity;
-    use crate::offload::run_offload;
     use crate::partition::partition_all;
     use crate::storage::restore_storage;
     use mmrepl_model::{CostParams, System};
@@ -995,42 +1001,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn reliable_bus_matches_synchronous_offload_bit_for_bit() {
-        let sys = generate_system(&WorkloadParams::small(), 2)
-            .unwrap()
-            .with_processing_fraction(1.2);
-        let mut sync_works = restored_works(&sys);
-        let initial: f64 = sync_works.iter().map(|w| w.repo_load()).sum();
-        let cap = initial * 0.7;
-        let sync = run_offload(&mut sync_works, cap, &OffloadConfig::default());
-
-        let mut async_works = restored_works(&sys);
-        let neg = run_negotiation(
-            &mut async_works,
-            cap,
-            &OffloadConfig::default(),
-            &NegotiateConfig::default(),
-        );
-
-        assert_eq!(
-            site_fingerprints(&sync_works),
-            site_fingerprints(&async_works)
-        );
-        assert_eq!(neg.report.rounds, sync.report.rounds);
-        assert!((neg.report.absorbed - sync.report.absorbed).abs() < 1e-12);
-        assert_eq!(neg.report.swaps, sync.report.swaps);
-        assert_eq!(neg.report.feasible, sync.report.feasible);
-        assert_eq!(neg.changed, sync.changed);
-        assert_eq!(neg.report.timeouts, 0);
-        assert_eq!(neg.report.retries, 0);
-        assert_eq!(neg.report.degraded_sites, 0);
-        assert_eq!(neg.report.bus.dropped, 0);
-        for w in &async_works {
-            w.validate_consistency();
-        }
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!    ([`mmrepl_core::restore_sites`]), spread over the pool workers,
 //!    so a traced replan shows the `plan.*` stage spans inside
 //!    `online.replan`. Clean sites keep their live rows, and the
-//!    repository negotiation runs serially over the dirty subset against
-//!    the capacity left after the clean sites' (unchanged) repository
-//!    load.
+//!    repository negotiation ([`mmrepl_core::run_negotiation`], under the
+//!    policy's own configuration) runs serially over the dirty subset
+//!    against the capacity left after the clean sites' (unchanged)
+//!    repository load.
 //!
 //! The resulting *target* rows are then **diffed against the live plan**
 //! and applied under a *churn budget*: switching a page's row is free
@@ -32,7 +33,7 @@
 //! by a property test. The shards come back in site order, so the
 //! outcome is also the same at any thread count.
 
-use mmrepl_core::{partition_all, restore_sites, run_offload, ReplicationPolicy};
+use mmrepl_core::{partition_all, restore_sites, run_negotiation, ReplicationPolicy};
 use mmrepl_model::{
     Bytes, CostModel, ObjectId, PageId, PagePartition, Placement, SiteId, StoredSet, System,
 };
@@ -296,9 +297,9 @@ impl DeltaPlanner {
 
     /// Computes the target rows for every page of the dirty sites: the
     /// restoration shards re-run per dirty site from the cached partition
-    /// on up to `threads` pool workers, then the off-loading negotiation
-    /// runs over the dirty subset against the repository capacity net of
-    /// the clean sites' unchanged load.
+    /// on up to `threads` pool workers, then the policy's off-loading
+    /// negotiation runs over the dirty subset against the repository
+    /// capacity net of the clean sites' unchanged load.
     fn target_rows(
         &self,
         est: &System,
@@ -318,7 +319,7 @@ impl DeltaPlanner {
             .map(|s| self.live.repo_load_from(est, s).get())
             .sum();
         let eff_capacity = (est.repository().capacity.get() - clean_repo_load).max(0.0);
-        run_offload(&mut works, eff_capacity, &cfg.offload);
+        run_negotiation(&mut works, eff_capacity, &cfg.offload, &cfg.negotiation);
         #[cfg(feature = "audit")]
         for w in &works {
             mmrepl_core::assert_consistent(w, mmrepl_core::AuditStage::DeltaReplan);

@@ -9,7 +9,7 @@
 //!   window, and on a stationary trace the EWMA converges to the
 //!   generator's rates (hot pages estimated hot, cold pages cold).
 
-use mmrepl_core::ReplicationPolicy;
+use mmrepl_core::{NegotiateConfig, PlannerConfig, ReplicationPolicy, StrategyKind};
 use mmrepl_model::{Secs, System};
 use mmrepl_online::{rate_divergence, ChurnBudget, DeltaPlanner, EstimatorConfig, RateEstimator};
 use mmrepl_workload::{generate_trace, DriftModel, SiteTrace, TraceConfig, WorkloadParams};
@@ -58,6 +58,38 @@ proptest! {
 
         let cold = ReplicationPolicy::new().plan(&est).placement;
         prop_assert_eq!(planner.live(), &cold);
+    }
+
+    /// The same equivalence when stage 4 really negotiates: a squeezed
+    /// repository and sites with cpu headroom force off-loading rounds,
+    /// and the delta replan must run them under the policy's own
+    /// negotiation strategy, as the cold plan does.
+    #[test]
+    fn delta_replan_matches_cold_plan_under_every_negotiation_strategy(seed in 0u64..500) {
+        let base = mmrepl_workload::generate_system(&WorkloadParams::small(), seed)
+            .expect("valid params")
+            .with_storage_fraction(0.6)
+            .with_processing_fraction(1.5)
+            .with_central_fraction(0.3);
+        let est = DriftModel::new(0.5).apply(&base, seed ^ 0xD1F7);
+        let all_sites: Vec<_> = base.sites().ids().collect();
+        for strategy in [
+            StrategyKind::GreedyProportional,
+            StrategyKind::DeadlineBounded,
+            StrategyKind::Auction,
+        ] {
+            let policy = ReplicationPolicy::with_config(PlannerConfig {
+                negotiation: NegotiateConfig {
+                    strategy,
+                    ..NegotiateConfig::default()
+                },
+                ..PlannerConfig::default()
+            });
+            let mut planner = DeltaPlanner::new(&base, policy);
+            planner.replan(&est, &all_sites, ChurnBudget::unlimited());
+            let cold = policy.plan(&est).placement;
+            prop_assert!(planner.live() == &cold, "strategy {}", strategy.name());
+        }
     }
 
     /// A second replan on the same estimates is a no-op: the live plan

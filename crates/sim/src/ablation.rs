@@ -7,9 +7,9 @@ use crate::experiment::ExperimentConfig;
 use crate::replay::replay_all;
 use mmrepl_baselines::StaticRouter;
 use mmrepl_core::{
-    parallel_map, partition_all_ordered, restore_capacity, restore_storage_with, run_offload,
-    AssignmentRule, DeallocCriterion, OffloadConfig, PartitionOrder, PlannerConfig,
-    ReplicationPolicy, SiteWork,
+    parallel_map, partition_all_ordered, restore_capacity, restore_storage_with, run_negotiation,
+    AssignmentRule, DeallocCriterion, NegotiateConfig, OffloadConfig, PartitionOrder,
+    PlannerConfig, ReplicationPolicy, SiteWork,
 };
 use mmrepl_model::{CostParams, Placement, System};
 use mmrepl_workload::{generate_trace, SiteTrace, TraceConfig};
@@ -204,7 +204,12 @@ pub fn ablation_offload(cfg: &ExperimentConfig) -> AblationResult {
                 assignment: rule,
                 ..OffloadConfig::default()
             };
-            let outcome = run_offload(&mut works, repo_load * 0.7, &cfg_off);
+            let outcome = run_negotiation(
+                &mut works,
+                repo_load * 0.7,
+                &cfg_off,
+                &NegotiateConfig::default(),
+            );
             m.insert(label.to_string(), outcome.report.rounds as f64);
         }
         m

@@ -14,7 +14,10 @@
 //!    set, recomputing streams, loads, storage and mark counts by full
 //!    scans on every query. The greedy keys are bit-identical by
 //!    construction (they read only exact integer stream totals and fresh
-//!    per-slot deltas), so the final placements must match exactly.
+//!    per-slot deltas), so the final placements must match exactly. Its
+//!    off-loading is a plain sequential loop with no messages, so this
+//!    oracle is also the independent check on the planner's negotiation
+//!    protocol (`mmrepl_core::negotiate`) on a reliable bus.
 //! 2. **unbounded delta-replan ≡ cold plan** — the online replanner with
 //!    every site dirty and an unlimited churn budget must land on the same
 //!    placement as a cold plan of the estimated system.
@@ -843,12 +846,12 @@ fn ref_partition_page(sys: &System, pid: PageId) -> PagePartition {
     }
 }
 
-/// Stage 4, as a plain sequential loop. The message protocol reduces to
-/// this because the bus is FIFO with uniform latency: all of a round's
-/// NewReq messages are delivered (and absorbed) in assignment order before
-/// any Absorbed reply, and each reply carries the status of its own site
-/// only, so refreshing each status right after its absorption is
-/// equivalent.
+/// Stage 4, as a plain sequential loop. The planner's negotiation with
+/// the paper's strategy on a reliable bus reduces to this because the bus
+/// is FIFO with uniform latency: all of a round's Offer messages are
+/// delivered (and absorbed) in assignment order before any Counter reply,
+/// and each reply carries the status of its own site only, so refreshing
+/// each status right after its absorption is equivalent.
 fn ref_offload(refs: &mut [RefSite<'_>], repo_capacity: f64, config: &OffloadConfig) {
     #[derive(Clone, Copy)]
     struct Status {
@@ -936,7 +939,8 @@ fn ref_offload(refs: &mut [RefSite<'_>], repo_capacity: f64, config: &OffloadCon
 /// Runs the whole pipeline through the naive reference state and returns
 /// the final placement. Must agree exactly with
 /// [`ReplicationPolicy::plan`] under the same configuration — the first
-/// differential oracle.
+/// differential oracle. Stage 4 always runs the paper's strategy as if on
+/// a reliable bus; `config.negotiation` is not read.
 ///
 /// # Panics
 /// Panics if `config.include_update_load` is set: the reference models the

@@ -3,12 +3,13 @@
 //! the repository's control plane is faulty.
 //!
 //! Every run squeezes the repository hard enough to force a real
-//! multi-round off-loading, plans once with the synchronous reference
-//! protocol, and then re-plans under every (strategy × fault scenario)
+//! multi-round off-loading, plans once with the naive reference planner
+//! ([`reference_plan`], whose stage 4 is a plain sequential loop with no
+//! messages), and then re-plans under every (strategy × fault scenario)
 //! cell of the grid:
 //!
 //! * **strategies** — `greedy` (the paper's proportional rounds,
-//!   bit-identical to the synchronous planner on a reliable bus),
+//!   bit-identical to the reference on a reliable bus),
 //!   `deadline` (over-asks to converge within a round budget) and
 //!   `auction` (highest-headroom sites take whole chunks);
 //! * **scenarios** — `reliable` (no faults), `lossy`
@@ -16,10 +17,11 @@
 //!   reordering, sub-latency jitter) and `chaos`
 //!   ([`FaultConfig::chaos`]: 25 % loss, multi-latency jitter).
 //!
-//! Reported per cell: placement agreement with the synchronous
-//! reference, protocol cost (rounds, messages, simulated control time)
+//! Reported per cell: placement agreement with the reference, protocol
+//! cost (rounds, messages, simulated control time)
 //! and resilience counters (retries, timeouts, degraded sites).
 
+use crate::differential::reference_plan;
 use crate::experiment::ExperimentConfig;
 use mmrepl_core::{parallel_map, NegotiateConfig, PlannerConfig, ReplicationPolicy, StrategyKind};
 use mmrepl_netsim::FaultConfig;
@@ -60,8 +62,8 @@ pub struct NegotiateCell {
     pub absorbed: f64,
     /// Runs whose final placement satisfied Eq. 8-10.
     pub feasible_runs: usize,
-    /// Runs whose placement was byte-identical to the synchronous
-    /// reference plan (expected: all, for `greedy` × `reliable`).
+    /// Runs whose placement was byte-identical to the naive reference
+    /// plan (expected: all, for `greedy` × `reliable`).
     pub placements_match: usize,
 }
 
@@ -138,7 +140,7 @@ fn scenario_faults(name: &str, seed: u64) -> FaultConfig {
 
 /// Runs the study: `cfg.runs` independent workloads, each squeezed to
 /// `central_fraction` of its repository capacity and planned under every
-/// grid cell plus the synchronous reference.
+/// grid cell plus the naive reference.
 pub fn negotiate_study(cfg: &ExperimentConfig, central_fraction: f64) -> NegotiateStudy {
     // One run: per-cell (rounds, messages, control_time, retries,
     // timeouts, degraded, duplicates, absorbed, feasible, matches).
@@ -152,7 +154,7 @@ pub fn negotiate_study(cfg: &ExperimentConfig, central_fraction: f64) -> Negotia
             .expect("valid params")
             .with_processing_fraction(1.5)
             .with_central_fraction(central_fraction);
-        let reference = ReplicationPolicy::new().plan(&sys);
+        let reference = reference_plan(&sys, &PlannerConfig::default());
 
         let mut samples = Vec::with_capacity(STRATEGIES.len() * SCENARIOS.len());
         for strategy in STRATEGIES {
@@ -163,14 +165,11 @@ pub fn negotiate_study(cfg: &ExperimentConfig, central_fraction: f64) -> Negotia
                     ..NegotiateConfig::default()
                 };
                 let plan = ReplicationPolicy::with_config(PlannerConfig {
-                    negotiation: Some(negotiation),
+                    negotiation,
                     ..PlannerConfig::default()
                 })
                 .plan(&sys);
-                let rep = plan
-                    .report
-                    .negotiation
-                    .expect("negotiated plans carry the protocol report");
+                let rep = plan.report.negotiation;
                 samples.push((
                     rep.rounds as f64,
                     rep.messages as f64,
@@ -181,7 +180,7 @@ pub fn negotiate_study(cfg: &ExperimentConfig, central_fraction: f64) -> Negotia
                     rep.duplicates_ignored as f64,
                     rep.absorbed,
                     plan.report.feasible,
-                    plan.placement == reference.placement,
+                    plan.placement == reference,
                 ));
             }
         }

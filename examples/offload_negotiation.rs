@@ -7,7 +7,8 @@
 //! ```
 
 use mmrepl::core::{
-    partition_all, restore_capacity, restore_storage, run_offload, OffloadConfig, SiteWork,
+    partition_all, restore_capacity, restore_storage, run_negotiation, NegotiateConfig,
+    OffloadConfig, SiteWork,
 };
 use mmrepl::prelude::*;
 
@@ -46,7 +47,12 @@ fn main() {
     // Constrain the repository to 60% of that and negotiate.
     let cap = repo_load * 0.6;
     println!("\nconstraining repository to {cap:.2} req/s — negotiating...");
-    let outcome = run_offload(&mut works, cap, &OffloadConfig::default());
+    let outcome = run_negotiation(
+        &mut works,
+        cap,
+        &OffloadConfig::default(),
+        &NegotiateConfig::default(),
+    );
     let r = outcome.report;
     println!("  rounds        : {}", r.rounds);
     println!("  messages      : {}", r.messages);
